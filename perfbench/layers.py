@@ -5,9 +5,9 @@ each module at class level with a :class:`spans.SpanRecorder`, and
 :func:`layer_metrics` turns the recorded spans plus the deployment's own
 counters into the per-layer metrics of ``BENCHMARK.json``.  Every ``*_s``
 metric except the two set-up ones (``workload.generate_s``,
-``paradigms.build_s``: whole spans) is *self* time in wall seconds over the
-run phase, so the layers add up:
-``run wall ~= sum of layer self times + simulation.self_s + realnet.loop_s``.
+``paradigms.build_s``: whole spans) and ``realnet.loop_s`` is *self* time in
+wall seconds over the run phase, so the layers add up:
+``run CPU ~= sum of layer self times + simulation.self_s + realnet.loop_s``.
 """
 
 from __future__ import annotations
@@ -60,11 +60,16 @@ def install(recorder) -> None:
 
 
 def layer_metrics(
-    spans: Dict[str, Dict[str, float]], handles, submitted: int, committed: int, run_s: float
+    spans: Dict[str, Dict[str, float]],
+    handles,
+    submitted: int,
+    committed: int,
+    run_cpu_s: float,
 ) -> Dict[str, float]:
-    """Per-layer numbers of one traced run (``trace.overhead`` is added by the caller).
+    """Per-layer numbers of one traced run (the caller adds the ``run.*`` ones).
 
     ``spans`` is the recorder's table aggregated with :data:`SETUP_SPANS` cut.
+    ``realnet.loop_s`` is CPU time, so a paced run's idle waits stay out of it.
     """
 
     def count(name: str) -> int:
@@ -85,7 +90,7 @@ def layer_metrics(
         "network.msgs_per_tx": counters["messages_sent"] / submitted,
         "network.send_s": own("network.send"),
         "network.bytes_per_tx": counters["bytes_sent"] / submitted,
-        "realnet.loop_s": run_s - spans.get("simulation.step", {}).get("total_s", 0.0),
+        "realnet.loop_s": run_cpu_s - spans.get("simulation.step", {}).get("total_s", 0.0),
         "crypto.signs": count("crypto.sign"),
         "crypto.verifies": count("crypto.verify"),
         "crypto.s": own("crypto.sign", "crypto.verify"),
@@ -110,5 +115,5 @@ def layer_metrics(
         "metrics.record_s": own("metrics.record"),
         "workload.generate_s": spans.get("workload.generate", {}).get("total_s", 0.0),
         "paradigms.build_s": spans.get("paradigms.build", {}).get("total_s", 0.0),
-        "trace.unattributed_frac": step_self / run_s,
+        "trace.unattributed_frac": step_self / run_cpu_s,
     }

@@ -19,6 +19,7 @@ sys.path[:0] = [str(HERE), str(HERE.parent / "src")]
 
 import run  # noqa: E402
 import scenarios  # noqa: E402
+from counters import CountersUnavailable, CpuCounters  # noqa: E402
 from repro.network.message import Message  # noqa: E402
 from spans import SpanRecorder, self_times  # noqa: E402
 
@@ -32,6 +33,32 @@ def _frames_pickle() -> bool:
     except Exception:
         return False
     return True
+
+
+def _counters():
+    try:
+        return CpuCounters()
+    except CountersUnavailable:
+        return None
+
+
+def test_instruction_count_of_fixed_work_repeats():
+    counters = _counters()
+    if counters is None:
+        pytest.skip("no hardware counters on this machine")
+
+    def instructions_of_loop():
+        before = counters.read()
+        total = 0
+        for i in range(200_000):
+            total += i * i
+        after = counters.read()
+        assert after[0] > before[0]
+        return after[1] - before[1]
+
+    counts = [instructions_of_loop() for _ in range(5)]
+    counters.close()
+    assert max(counts) < 1.02 * min(counts)
 
 
 def test_self_time_is_span_minus_child_spans():
@@ -125,10 +152,14 @@ def test_tiny_run_passes_checks_and_emits_every_metric(name):
     workload = scenarios.WORKLOADS[name]
     if not workload.simulated and not _frames_pickle():
         pytest.skip("TCP frames need Python >= 3.11")
-    plain = scenarios.measure(workload, seed=3, transactions=TINY, setups=2)
+    counters = _counters()
+    plain = scenarios.measure(workload, seed=3, transactions=TINY, setups=2, counters=counters)
     with SpanRecorder() as recorder:
         traced = scenarios.measure(workload, seed=3, transactions=TINY, recorder=recorder)
     plain["peak_rss_mb"] = 1.0
+    if counters is not None:
+        counters.close()
+        assert plain["kinstr_per_tx"] > 0 and plain["kcycles_per_tx"] > 0
     assert plain["submitted"] == plain["completed"] == TINY
     assert len(plain["setup_s"]) == 2
     assert list(run.end_to_end([plain])) == list(run.END_TO_END)
